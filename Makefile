@@ -22,19 +22,16 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# race: the numerics gate for the concurrent hot path. Runs vet plus the
-# race detector over the packages that share mutable state across
-# goroutines: the packed DGEMM fast path, the persistent worker pool, the
-# tile packers, the LU drivers built on top of them, the offload
-# work-stealing engine (heartbeats, straggler reclaim, cancellation), the
-# fault-path packages (message fabric + fault-tolerant distributed
-# solver), the observability layer they all feed (span recorder +
-# metrics registry), the matrix containers (FP64 and FP32) the kernels
-# share, the facade package that drives the mixed-precision solve, and
-# the multi-tenant solve server (queue, scheduler, cache, drain).
+# race: the concurrency gate. Runs vet plus the race detector over every
+# package of the module except the single-threaded simulators and models
+# that scripts/race_pkgs.sh excludes by name — a new package is raced by
+# default. The list covers the packed DGEMM fast path, the worker pool,
+# the LU drivers, the offload engine, the message fabric and the
+# fault-tolerant solver, the span recorder and metrics, the facade and
+# the solve server with its journal.
 race:
 	$(GO) vet ./...
-	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
+	pkgs=$$(sh scripts/race_pkgs.sh) && $(GO) test -race -timeout 10m $$pkgs
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for
@@ -61,21 +58,23 @@ bench:
 benchjson:
 	$(GO) run ./cmd/benchjson
 
-# fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
-# scalar oracle (never panic, ulp envelope, no out-of-window writes), the
+# fuzz: a short deep-fuzz of the FP64 and FP32 micro-kernel dispatchers
+# against their scalar oracles (never panic, ulp envelope, no
+# out-of-window writes, AVX-512 ≡ AVX2 bit for bit on AVX-512 hosts), the
 # pack → micro-kernel → unpack chain, then the write-ahead journal's
 # crash-recovery scanner (arbitrary bytes must never panic, and repair
 # accounting must close exactly).
 fuzz:
-	$(GO) test ./internal/pack -fuzz FuzzMicroKernel -fuzztime 30s
+	$(GO) test ./internal/pack -run '^$$' -fuzz '^FuzzMicroKernel$$' -fuzztime 30s
+	$(GO) test ./internal/pack -run '^$$' -fuzz '^FuzzMicroKernel32$$' -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzPackedGemm -fuzztime 30s
 	$(GO) test ./internal/journal -fuzz FuzzJournalDecode -fuzztime 30s
 
 # race-scalar: the race gate with the vector micro-kernels disabled — the
-# portable-scalar oracle path under the race detector, the same leg CI's
-# scalar-oracle job runs.
+# portable-scalar oracle path under the race detector over the same
+# package list, the leg CI's scalar-oracle job runs.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/...
+	pkgs=$$(sh scripts/race_pkgs.sh) && PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m $$pkgs
 
 clean:
 	$(GO) clean ./...

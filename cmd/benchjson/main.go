@@ -108,13 +108,33 @@ func (m *mixedBest) row(name string, n, nb, p, q int, flops, bestFP64 float64) (
 	return c, nil
 }
 
-// benchFile is the BENCH_<date>.json schema.
+// benchFile is the BENCH_<date>.json schema. Kernel and Kernel32 name the
+// micro-kernel rung ("avx512", "avx2" or "scalar") the unforced packed
+// rows — DgemmPacked, DgemmPacked-asm and the LU/HPL rows built on them —
+// dispatched to.
 type benchFile struct {
 	Date       string       `json:"date"`
 	GoVersion  string       `json:"go_version"`
+	NProc      int          `json:"nproc"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Workers    int          `json:"workers"`
+	Kernel     string       `json:"kernel"`
+	Kernel32   string       `json:"kernel32"`
 	Results    []caseResult `json:"results"`
+}
+
+// newBenchFile fills the header that identifies the run's host and
+// micro-kernel rungs.
+func newBenchFile(workers int) benchFile {
+	return benchFile{
+		Date:       time.Now().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workers:    workers,
+		Kernel:     pack.KernelName(),
+		Kernel32:   pack.Kernel32Name(),
+	}
 }
 
 func main() {
@@ -138,12 +158,7 @@ func main() {
 		path = "BENCH_" + time.Now().Format("20060102") + ".json"
 	}
 
-	file := benchFile{
-		Date:       time.Now().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    *workers,
-	}
+	file := newBenchFile(*workers)
 
 	for _, f := range strings.Split(*sizes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -155,8 +170,9 @@ func main() {
 			gemmCase("DgemmParallel", n, *workers, blas.DgemmParallel),
 			gemmCase("DgemmPacked", n, *workers, blas.DgemmPacked),
 			// The micro-kernel ladder: the same packed driver with the
-			// scalar kernel forced, and — where the CPU has AVX2+FMA —
-			// with the vector kernel explicitly named, so the scalar→asm
+			// scalar kernel forced, and — where the CPU has a vector
+			// kernel (the header's "kernel" names the rung) — with the
+			// vector kernel explicitly named, so the scalar→asm
 			// rung is a diffable pair of rows rather than an inference
 			// about what DgemmPacked dispatched to.
 			gemmCaseScalar(n, *workers),
@@ -241,19 +257,25 @@ func gemmCase(name string, n, workers int, f gemmDriver) caseResult {
 
 // gemmCaseScalar benchmarks DgemmPacked with the vector kernel disabled:
 // the portable-scalar floor of the micro-kernel ladder, present on every
-// platform (on noasm/non-amd64 builds it equals the DgemmPacked row).
+// platform (on noasm/non-amd64 builds it equals the DgemmPacked row). The
+// prior setting is restored, so a run under PHIHPL_DISABLE_VECTOR_KERNEL
+// stays scalar for the rows after it, as its header says.
 func gemmCaseScalar(n, workers int) caseResult {
+	prev := pack.DisableVectorKernel
 	pack.DisableVectorKernel = true
-	defer func() { pack.DisableVectorKernel = false }()
+	defer func() { pack.DisableVectorKernel = prev }()
 	return gemmCase("DgemmPacked-scalar", n, workers, blas.DgemmPacked)
 }
 
-// gemmCaseAsm benchmarks DgemmPacked with the AVX2+FMA kernel named
-// explicitly (numerically the same dispatch as the DgemmPacked row; the
-// row exists so the scalar→asm speedup is a first-class pair in the
-// archive). Only emitted when the CPU and build carry the kernel.
+// gemmCaseAsm benchmarks DgemmPacked with the vector kernel forced on:
+// the rung the header's "kernel" field names, AVX-512 or AVX2+FMA. It is
+// the DgemmPacked row's dispatch, named so the scalar→asm speedup is a
+// first-class pair in the archive. Only emitted when the CPU and build
+// carry a vector kernel.
 func gemmCaseAsm(n, workers int) caseResult {
+	prev := pack.DisableVectorKernel
 	pack.DisableVectorKernel = false
+	defer func() { pack.DisableVectorKernel = prev }()
 	return gemmCase("DgemmPacked-asm", n, workers, blas.DgemmPacked)
 }
 

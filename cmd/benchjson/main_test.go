@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
 	"phihpl"
+	"phihpl/internal/pack"
 )
 
 // TestMixedBestPrefersFP32Path: one non-fallback iteration makes the row
@@ -75,5 +78,32 @@ func TestMixedBestEmpty(t *testing.T) {
 	_, err := m.row("Hpl2D-mixed-none", 96, 16, 2, 2, 1e9, 1.0)
 	if err == nil || !strings.Contains(err.Error(), "no iterations") {
 		t.Fatalf("err = %v, want no-iterations error", err)
+	}
+}
+
+// TestHeaderNamesKernel: the file header says which micro-kernel rung
+// the packed rows ran on, and how many CPUs the host has, so a
+// DgemmPacked-asm row can be read without knowing the machine.
+func TestHeaderNamesKernel(t *testing.T) {
+	f := newBenchFile(3)
+	if f.Kernel != pack.KernelName() || f.Kernel32 != pack.Kernel32Name() {
+		t.Fatalf("kernel %q/%q, want %q/%q", f.Kernel, f.Kernel32, pack.KernelName(), pack.Kernel32Name())
+	}
+	for _, k := range []string{f.Kernel, f.Kernel32} {
+		if k != "avx512" && k != "avx2" && k != "scalar" {
+			t.Fatalf("unknown rung %q", k)
+		}
+	}
+	if f.NProc != runtime.NumCPU() || f.NProc < 1 || f.Workers != 3 {
+		t.Fatalf("nproc %d workers %d, want %d and 3", f.NProc, f.Workers, runtime.NumCPU())
+	}
+	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"kernel":`, `"kernel32":`, `"nproc":`} {
+		if !strings.Contains(string(b), key) {
+			t.Errorf("header JSON %s lacks %s", b, key)
+		}
 	}
 }

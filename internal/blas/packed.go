@@ -144,6 +144,9 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 	compFn := func(j, g int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
+		if g >= len(pbs) {
+			g = 0 // replication disabled under a multi-group pool: one shared B
+		}
 		pkb := &pbs[g]
 		cols := pkb.TileCols(tb)
 		off := ta*pack.DefaultTileM*c.Stride + tb*pack.TileN

@@ -8,6 +8,18 @@ package pack
 
 func haveAsmKernel() bool { return false }
 
+func haveAVX512Kernel() bool { return false }
+
+// microKernelAVX512 is never called when haveAVX512Kernel reports false.
+func microKernelAVX512(aTile []float64, tileM, k int, bTile []float64, c []float64, ldc, rows, cols int) {
+	panic("pack: AVX-512 FP64 kernel unavailable on this platform")
+}
+
+// microKernel32AVX512 is never called when haveAVX512Kernel reports false.
+func microKernel32AVX512(aTile []float32, tileM, k int, bTile []float32, c []float32, ldc, rows, cols int) {
+	panic("pack: AVX-512 FP32 kernel unavailable on this platform")
+}
+
 // kernelBlock is never called when haveAsmKernel reports false.
 func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, acc *[48]float64) {
 	panic("pack: vector FP64 kernel unavailable on this platform")

@@ -35,29 +35,52 @@ const KernelOneTileM = 31
 // TileN is the b-tile width: 8 doubles, one 512-bit vector register.
 const TileN = 8
 
-// MicroM is the row height of the FP64 vector register block: a 6×8
+// MicroM is the row height of the AVX2 FP64 register block: a 6×8
 // accumulator block is 12 YMM registers (two 4-lane halves per row),
 // leaving two for the b row and two for broadcasts of a. DefaultTileM is
 // a multiple of MicroM (30 = 5·6), so the vector kernel walks a
 // full-height a-tile without ever straddling the tile boundary; padding
 // rows of a partial bottom tile are zero and are simply not written back.
+// The AVX-512 rung blocks the whole DefaultTileM×TileN tile at once.
 const MicroM = 6
 
 // DisableVectorKernel forces the portable scalar FP64 micro-kernel even
-// when the AVX2+FMA block kernel is available. The scalar kernel is the
-// arithmetic reference (unfused multiply-add in the same ascending-p
-// order); tests set this to pin the cross-kernel oracle, and the
-// benchmark harness toggles it for the scalar-vs-vector head-to-head. It
-// is not safe to change concurrently with running kernels.
+// when a vector kernel (AVX-512 or AVX2+FMA) is available. The scalar
+// kernel is the arithmetic reference (unfused multiply-add in the same
+// ascending-p order); tests set this to pin the cross-kernel oracle, and
+// the benchmark harness toggles it for the scalar-vs-vector head-to-head.
+// It is not safe to change concurrently with running kernels.
 var DisableVectorKernel = false
 
-// vectorKernel records the one-time CPUID probe for the AVX2+FMA kernel.
-var vectorKernel = haveAsmKernel()
+// vectorKernel and avx512Kernel record the one-time CPUID probes for the
+// AVX2+FMA and AVX-512 rungs; the AVX-512 rung implies the AVX2 one.
+var (
+	vectorKernel = haveAsmKernel()
+	avx512Kernel = haveAVX512Kernel()
+)
 
-// VectorKernel reports whether the fused vector FP64 kernel is available
+// VectorKernel reports whether a fused vector FP64 kernel is available
 // on this CPU (and OS). When false, MicroKernel always runs the scalar
 // fallback.
 func VectorKernel() bool { return vectorKernel }
+
+// KernelName names the FP64 micro-kernel rung MicroKernel runs for the
+// default tile geometry under the current settings: "avx512", "avx2" or
+// "scalar".
+func KernelName() string {
+	return rungName(vectorKernel && !DisableVectorKernel, avx512Kernel)
+}
+
+// rungName maps a precision's gate state onto its rung name.
+func rungName(vector, avx512 bool) string {
+	switch {
+	case !vector:
+		return "scalar"
+	case avx512:
+		return "avx512"
+	}
+	return "avx2"
+}
 
 // The scalar oracle path must stay exercisable without recompiling:
 // setting PHIHPL_DISABLE_VECTOR_KERNEL (to any non-empty value) disables
@@ -210,52 +233,66 @@ func (p *B) Unpack(dst *matrix.Dense) {
 // worker count, which is what lets every LU driver in this repository
 // stay bitwise reproducible on top of this kernel.
 //
-// Two implementations sit behind this entry point:
+// Two kinds of kernel sit behind this entry point:
 //
-//   - The vector kernel (amd64 with AVX2+FMA, see kernel_amd64.go): 6×8
-//     register blocks, each element accumulated in ascending p with fused
-//     multiply-add — the register blocking of the paper's Basic Kernel 2,
-//     which needs real vector FMA to approach machine peak.
+//   - The vector kernels (amd64, see kernel_amd64.go), each element
+//     accumulated in ascending p with fused multiply-add — the register
+//     blocking of the paper's Basic Kernel 2, which needs real vector FMA
+//     to approach machine peak. With AVX-512F the whole 30×8 tile is one
+//     register block (30 ZMM accumulators) and the add into c is done in
+//     assembly under a column mask; with AVX2+FMA the tile is walked as
+//     5 blocks of 6×8. The two rungs run the same per-element FMA chain
+//     and the same add into c, so they are bitwise equal.
 //   - The portable scalar kernel: row-at-a-time with 8 scalar
 //     accumulators, unfused multiply-add in the same ascending-p order.
 //     This path is bit-for-bit the arithmetic of the K-block-grouped
 //     reference loop and serves as its oracle.
 //
-// Both paths perform every product unconditionally, accumulate each
+// All paths perform every product unconditionally, accumulate each
 // element in ascending p, and add the block sum into c exactly once — so
 // for a fixed k the accumulation order of each element is independent of
 // the tile's position, the matrix partitioning and the worker count,
 // which is what lets every LU driver in this repository stay bitwise
-// reproducible on top of this kernel. The two paths differ only in
-// product rounding (fused vs. separate), so results are deterministic on
-// a given machine and element-wise within O(k)·ulp of each other across
-// machines. The dispatch inspects only machine-global state (the CPUID
-// probe, DisableVectorKernel) and the tile geometry — never the operand
-// shape — so one process never mixes kernels across the differently-
-// partitioned calls of a single mathematical update.
+// reproducible on top of this kernel. The vector and scalar paths differ
+// only in product rounding (fused vs. separate), so results are
+// deterministic on a given machine and element-wise within O(k)·ulp of
+// each other across machines. The dispatch inspects only machine-global
+// state (the CPUID probes, DisableVectorKernel) and the tile geometry —
+// never the operand shape — so one process never mixes kernels across
+// the differently-partitioned calls of a single mathematical update.
 func MicroKernel(aTile []float64, tileM, k int, bTile []float64, c []float64, ldc, rows, cols int) {
 	if k <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	if vectorKernel && !DisableVectorKernel && tileM%MicroM == 0 {
-		var acc [MicroM * TileN]float64
-		for r0 := 0; r0 < rows; r0 += MicroM {
-			kernelBlock(aTile, tileM, k, r0, bTile, &acc)
-			br := rows - r0
-			if br > MicroM {
-				br = MicroM
-			}
-			for i := 0; i < br; i++ {
-				row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
-				sums := acc[i*TileN : i*TileN+TileN]
-				for j := range row {
-					row[j] += sums[j]
-				}
-			}
-		}
+	switch {
+	case DisableVectorKernel:
+	case avx512Kernel && tileM%DefaultTileM == 0:
+		microKernelAVX512(aTile, tileM, k, bTile, c, ldc, rows, cols)
+		return
+	case vectorKernel && tileM%MicroM == 0:
+		microKernelAVX2(aTile, tileM, k, bTile, c, ldc, rows, cols)
 		return
 	}
 	microKernelScalar(aTile, tileM, k, bTile, c, ldc, rows, cols)
+}
+
+// microKernelAVX2 is MicroKernel on the AVX2 rung: 6×8 assembly blocks
+// staged through acc, added into c in Go. Caller guarantees tileM is a
+// multiple of MicroM. Tests call it directly to hold the AVX-512 rung to
+// it bit for bit.
+func microKernelAVX2(aTile []float64, tileM, k int, bTile []float64, c []float64, ldc, rows, cols int) {
+	var acc [MicroM * TileN]float64
+	for r0 := 0; r0 < rows; r0 += MicroM {
+		kernelBlock(aTile, tileM, k, r0, bTile, &acc)
+		br := min(rows-r0, MicroM)
+		for i := 0; i < br; i++ {
+			row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
+			sums := acc[i*TileN : i*TileN+TileN]
+			for j := range row {
+				row[j] += sums[j]
+			}
+		}
+	}
 }
 
 // microKernelScalar is the portable row-at-a-time kernel: one row of the

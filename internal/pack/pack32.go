@@ -22,23 +22,35 @@ const TileN32 = 16
 // register blocks.
 const DefaultTileM32 = 32
 
+// microM32AVX512 is the row height of the AVX-512 FP32 register block:
+// 16 ZMM accumulators of one 16-lane row each, so a 32-row a-tile is two
+// blocks. microM32 is the AVX2 block's: four rows of two YMM halves.
+const (
+	microM32AVX512 = 16
+	microM32       = 4
+)
+
 // DisableVectorKernel32 forces the portable scalar FP32 micro-kernel even
-// when the AVX2+FMA block kernel is available. The scalar kernel is the
-// bitwise reference for blas.Sgemm (unfused multiply-add, same per-element
-// grouping); tests set this to pin the cross-kernel oracle. It is not safe
-// to change concurrently with running kernels. The
+// when a vector kernel (AVX-512 or AVX2+FMA) is available. The scalar
+// kernel is the bitwise reference for blas.Sgemm (unfused multiply-add,
+// same per-element grouping); tests set this to pin the cross-kernel
+// oracle. It is not safe to change concurrently with running kernels. The
 // PHIHPL_DISABLE_VECTOR_KERNEL environment variable sets it at startup
 // (see pack.go).
 var DisableVectorKernel32 = false
 
-// vectorKernel32 records the one-time CPUID probe for the AVX2+FMA
-// kernels, shared with the FP64 gate (both need FMA3+AVX2).
-var vectorKernel32 = haveAsmKernel()
+// VectorKernel32 reports whether a fused vector FP32 kernel is available
+// on this CPU (and OS); the FP32 rungs share the FP64 probes (both need
+// FMA3+AVX2, and AVX512F for the top rung). When false, MicroKernel32
+// always runs the scalar fallback.
+func VectorKernel32() bool { return vectorKernel }
 
-// VectorKernel32 reports whether the fused vector FP32 kernel is available
-// on this CPU (and OS). When false, MicroKernel32 always runs the scalar
-// fallback.
-func VectorKernel32() bool { return vectorKernel32 }
+// Kernel32Name names the FP32 micro-kernel rung MicroKernel32 runs for
+// the default tile geometry under the current settings: "avx512", "avx2"
+// or "scalar".
+func Kernel32Name() string {
+	return rungName(vectorKernel && !DisableVectorKernel32, avx512Kernel)
+}
 
 // A32 is a float32 matrix packed into TileM×K column-major tiles. Partial
 // bottom tiles are zero-padded to full height.
@@ -202,49 +214,62 @@ func PackBTileOp32(p *B32, src *matrix.Dense32, trans bool, k0, t int) {
 // single precision, the SGEMM analogue of MicroKernel. c is row-major
 // with leading dimension ldc, starting at the tile's top-left element.
 //
-// Two implementations sit behind this entry point:
+// Two kinds of kernel sit behind this entry point:
 //
-//   - The vector kernel (amd64 with AVX2+FMA): 4×16 register blocks, each
-//     element accumulated in ascending p with fused multiply-add — the
-//     register blocking of the paper's SGEMM, which needs real vector FMA
-//     to show SP's 2× throughput over DP (scalar SP and DP multiply-add
-//     issue at the same rate, so no scalar loop can reproduce Table II).
+//   - The vector kernels (amd64), each element accumulated in ascending p
+//     with fused multiply-add — the register blocking of the paper's
+//     SGEMM, which needs real vector FMA to show SP's 2× throughput over
+//     DP (scalar SP and DP multiply-add issue at the same rate, so no
+//     scalar loop can reproduce Table II). With AVX-512F a 32-row tile is
+//     two 16×16 blocks of 16 ZMM accumulators, added into c in assembly
+//     under a column mask; with AVX2+FMA it is eight 4×16 blocks. The two
+//     rungs are bitwise equal.
 //   - The portable scalar kernel: row-at-a-time with 16 scalar
 //     accumulators, unfused multiply-add in the same ascending-p order.
 //     This path is bit-for-bit the arithmetic of the blas.Sgemm reference
 //     loop and serves as its oracle.
 //
-// Both paths perform every product unconditionally (no zero-skips, NaN
+// All paths perform every product unconditionally (no zero-skips, NaN
 // and Inf propagate per IEEE), accumulate each element in ascending p,
 // and add the block sum into c exactly once — so for a fixed k the
 // accumulation order of each element is independent of the tile's
-// position, the matrix partitioning and the worker count. The two paths
-// differ only in product rounding (fused vs. separate), so results are
-// deterministic on a given machine and element-wise within O(k)·ulp of
-// each other across machines.
+// position, the matrix partitioning and the worker count. The vector and
+// scalar paths differ only in product rounding (fused vs. separate), so
+// results are deterministic on a given machine and element-wise within
+// O(k)·ulp of each other across machines.
 func MicroKernel32(aTile []float32, tileM, k int, bTile []float32, c []float32, ldc, rows, cols int) {
 	if k <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	if vectorKernel32 && !DisableVectorKernel32 && tileM%4 == 0 {
-		var acc [64]float32
-		for r0 := 0; r0 < rows; r0 += 4 {
-			kernel32Block(aTile, tileM, k, r0, bTile, &acc)
-			br := rows - r0
-			if br > 4 {
-				br = 4
-			}
-			for i := 0; i < br; i++ {
-				row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
-				sums := acc[i*TileN32 : i*TileN32+TileN32]
-				for j := range row {
-					row[j] += sums[j]
-				}
-			}
-		}
+	switch {
+	case DisableVectorKernel32:
+	case avx512Kernel && tileM%microM32AVX512 == 0:
+		microKernel32AVX512(aTile, tileM, k, bTile, c, ldc, rows, cols)
+		return
+	case vectorKernel && tileM%microM32 == 0:
+		microKernel32AVX2(aTile, tileM, k, bTile, c, ldc, rows, cols)
 		return
 	}
 	microKernel32Scalar(aTile, tileM, k, bTile, c, ldc, rows, cols)
+}
+
+// microKernel32AVX2 is MicroKernel32 on the AVX2 rung: 4×16 assembly
+// blocks staged through acc, added into c in Go. Caller guarantees tileM
+// is a multiple of microM32. Tests call it directly to hold the AVX-512
+// rung to it bit for bit.
+func microKernel32AVX2(aTile []float32, tileM, k int, bTile []float32, c []float32, ldc, rows, cols int) {
+	var acc [microM32 * TileN32]float32
+	for r0 := 0; r0 < rows; r0 += microM32 {
+		kernel32Block(aTile, tileM, k, r0, bTile, &acc)
+		br := min(rows-r0, microM32)
+		for i := 0; i < br; i++ {
+			row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
+			sums := acc[i*TileN32 : i*TileN32+TileN32]
+			for j := range row {
+				row[j] += sums[j]
+			}
+		}
+	}
 }
 
 // microKernel32Scalar is the portable row-at-a-time kernel: one row of

@@ -63,11 +63,20 @@ func TestPreemptWedgedSolve(t *testing.T) {
 
 	// The slot and memory are free even though the runner is still wedged:
 	// the worker's return released both, and a follow-up job gets the slot.
-	s.mu.Lock()
-	memHeld := s.memUsed
-	s.mu.Unlock()
-	if memHeld != 0 {
-		t.Errorf("admission-gate memory still held after force-finalize: %d bytes", memHeld)
+	// The worker returns just after force-finalize publishes ABORTED, so
+	// wait for the release rather than racing it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		memHeld := s.memUsed
+		s.mu.Unlock()
+		if memHeld == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("admission-gate memory still held after force-finalize: %d bytes", memHeld)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// The follow-up would also wedge on the same runner, so bound the check
 	// to reaching RUNNING: occupying the lone worker slot is the proof.

@@ -95,8 +95,9 @@ func (c Config) withDefaults() Config {
 
 // cacheEntry is one single-flight slot: the leader job computes, followers
 // attach and receive the leader's outcome, and completed PASSED/residual-
-// FAILED results stay for exact (bitwise-deterministic) cache hits.
-// Entries are only touched with Server.mu held.
+// FAILED results stay for exact (bitwise-deterministic) cache hits. A
+// complete entry holds no leader. Entries are only touched with
+// Server.mu held.
 type cacheEntry struct {
 	leader    *job
 	followers []*job
@@ -694,7 +695,11 @@ func (s *Server) finishLocked(j *job, state State, view *ResultView, ei *ErrorIn
 			// (both bitwise deterministic). Aborts, panics and transient
 			// errors are evicted so a later identical submission re-runs.
 			if state == StatePassed || (state == StateFailed && ei != nil && ei.Kind == "residual") {
+				// A complete entry serves hits from its own copy of the
+				// outcome; dropping the leader lets the job (its trace
+				// recorder and spans) go once retention evicts it.
 				e.complete = true
+				e.leader = nil
 				e.state, e.result, e.errInfo = state, view, ei
 				s.logLocked(walRecord{T: "cache", Key: j.key, State: state, Result: view, Error: ei})
 			} else {
@@ -702,14 +707,17 @@ func (s *Server) finishLocked(j *job, state State, view *ResultView, ei *ErrorIn
 			}
 		}
 	}
-	j.finish(state, view, ei, cached)
+	// Journal each end record before finish publishes the terminal state:
+	// a client that has seen a job terminal must find it terminal after a
+	// crash, too.
 	_, _, _, _, attempts := j.snapshot()
 	s.logLocked(walRecord{T: "end", ID: j.id, State: state, Result: view, Error: ei, Cached: cached, Attempt: attempts})
+	j.finish(state, view, ei, cached)
 	s.countTerminal(j.spec.Tenant, state)
 	for _, f := range followers {
-		f.finish(state, view, ei, true)
 		_, _, _, _, fa := f.snapshot()
 		s.logLocked(walRecord{T: "end", ID: f.id, State: state, Result: view, Error: ei, Cached: true, Attempt: fa})
+		f.finish(state, view, ei, true)
 		s.countTerminal(f.spec.Tenant, state)
 	}
 }

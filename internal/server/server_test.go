@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -714,5 +715,62 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	if resp, _ := get("/healthz"); resp.StatusCode != 200 {
 		t.Errorf("healthz after drain: %d, want 200 (process alive)", resp.StatusCode)
+	}
+}
+
+// TestCompleteEntryDropsLeader: a completed single-flight entry keeps only
+// its own copy of the outcome, not the leader job, so once retention has
+// evicted the job its trace recorder and spans are collectable. After more
+// distinct completed specs than the retention cap, no complete entry
+// holds a job, and a hit on the oldest spec (whose leader is long
+// evicted) still returns the leader's residual bit for bit.
+func TestCompleteEntryDropsLeader(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	residual := func(seed uint64) float64 { return 1 / float64(3+seed) }
+	cfg := testConfig()
+	cfg.MaxJobsRetained = 512
+	cfg.Runner = func(_ context.Context, sp Spec, _ *trace.Recorder) (phihpl.SolveResult, error) {
+		return phihpl.SolveResult{N: sp.N, Residual: residual(sp.Seed), Passed: true}, nil
+	}
+	s := New(cfg)
+	defer s.Close()
+
+	const specs = 600
+	var first *job
+	for seed := uint64(1); seed <= specs; seed++ {
+		j := mustSubmit(t, s, JobSpec{Mode: "native", N: 64, Seed: seed})
+		if st := waitTerminal(t, j); st != StatePassed {
+			t.Fatalf("seed %d: %s, want PASSED", seed, st)
+		}
+		if first == nil {
+			first = j
+		}
+	}
+	if _, ok := s.Job(first.id); ok {
+		t.Fatalf("job %s still retained past the %d-job cap", first.id, cfg.MaxJobsRetained)
+	}
+
+	s.mu.Lock()
+	complete := 0
+	for key, e := range s.entries {
+		if e.complete {
+			complete++
+			if e.leader != nil {
+				t.Errorf("complete entry %s still holds leader %s", key, e.leader.id)
+			}
+		}
+	}
+	s.mu.Unlock()
+	if complete != specs {
+		t.Fatalf("%d complete entries, want %d", complete, specs)
+	}
+
+	hit := mustSubmit(t, s, JobSpec{Mode: "native", N: 64, Seed: 1})
+	if st := waitTerminal(t, hit); st != StatePassed {
+		t.Fatalf("cache hit: %s, want PASSED", st)
+	}
+	v := hit.view()
+	if !v.Cached || v.Result == nil || math.Float64bits(v.Result.Residual) != math.Float64bits(residual(1)) {
+		t.Fatalf("cache hit view %+v, want the leader's residual %v", v, residual(1))
 	}
 }
